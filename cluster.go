@@ -101,13 +101,19 @@ func WithLoopbackFastPath() ClusterOption {
 
 // WithDurableStore roots each engine's recovery state in dir: the stable
 // input log moves to <dir>/<engine>/wal.log and every soft checkpoint is
-// additionally persisted — full-state, fsync-disciplined, atomically
-// manifested — under <dir>/<engine>/checkpoints. The directory then
-// survives OS-process death: a new process pointed at the same dir with
-// Reopen restores the newest durable checkpoint, replays the WAL suffix,
-// and rejoins its peers under a freshly bumped (and durably recorded)
-// generation. Launch treats the directory as a fresh deployment's state
-// root; use Reopen to restart over an existing one.
+// additionally persisted — fsync-disciplined, atomically manifested —
+// under <dir>/<engine>/checkpoints. Checkpoints are incremental: a
+// component whose bulk state lives in StateMap fields persists only the
+// keys changed since the previous checkpoint, with a full capture every
+// tenth checkpoint bounding each delta chain. The directory then survives
+// OS-process death: a new process pointed at the same dir with Reopen
+// restores the newest durable restore point (full checkpoint plus its
+// deltas), replays the WAL suffix, and rejoins its peers under a freshly
+// bumped (and durably recorded) generation. With the default real-time
+// source clock, the reopened clock resumes past every silence promise the
+// previous process made (the floor it resumes from is kept in the
+// checkpoint manifest). Launch treats the directory as a fresh
+// deployment's state root; use Reopen to restart over an existing one.
 func WithDurableStore(dir string) ClusterOption {
 	return clusterOptionFunc(func(c *clusterConfig) { c.durableDir = dir })
 }
@@ -306,7 +312,8 @@ type engineSlot struct {
 	name      string
 	eng       *engine.Engine
 	store     *checkpoint.ReplicaStore
-	fstore    *checkpoint.FileStore // durable checkpoint store (WithDurableStore)
+	fstore    *checkpoint.FileStore  // durable checkpoint store (WithDurableStore)
+	floor     engine.ClockFloorStore // source clock floor, shared across engine generations
 	log       wal.Log
 	sinks     map[string]func(Output) // sink name -> user callback
 	rec       *trace.Recorder         // shared across engine generations
@@ -465,6 +472,7 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 		slot := &engineSlot{
 			name:      name,
 			store:     checkpoint.NewReplicaStore(),
+			floor:     &clockFloor{},
 			sinks:     make(map[string]func(Output)),
 			gen:       1,
 			startedAt: time.Now(),
@@ -479,6 +487,7 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
+			slot.floor = slot.fstore
 			slot.gen = slot.fstore.Generation() + 1
 			if err := slot.fstore.SetGeneration(slot.gen); err != nil {
 				return nil, err
@@ -516,15 +525,18 @@ func launch(app *App, reopen bool, opts []ClusterOption) (*Cluster, error) {
 		}
 		if reopen && slot.fstore != nil && slot.fstore.Seq() > 0 {
 			// Cold restart: seed the in-process replica from the newest
-			// durable checkpoint, then build the replacement engine from it
-			// exactly as a warm failover would — Start replays the WAL suffix
-			// past the checkpoint's cursors and re-drives remote replay.
-			ck, err := slot.fstore.Latest()
+			// durable restore point (a full checkpoint plus the deltas after
+			// it), then build the replacement engine from it exactly as a
+			// warm failover would — Start replays the WAL suffix past the
+			// checkpoint's cursors and re-drives remote replay.
+			chain, err := slot.fstore.Chain()
 			if err != nil {
 				return nil, fmt.Errorf("tart: reopen %q: %w", name, err)
 			}
-			if err := slot.store.Apply(ck); err != nil {
-				return nil, fmt.Errorf("tart: reopen %q: %w", name, err)
+			for _, ck := range chain {
+				if err := slot.store.Apply(ck); err != nil {
+					return nil, fmt.Errorf("tart: reopen %q: %w", name, err)
+				}
 			}
 			ecfg := c.engineConfig(slot)
 			ecfg.ColdStart = true
@@ -696,6 +708,7 @@ func (c *Cluster) engineConfig(slot *engineSlot) engine.Config {
 		cfg.DisableCalibration = true
 	}
 	cfg.ExtraMetrics = c.extraMetrics()
+	cfg.ClockFloor = slot.floor
 	if c.arch != nil {
 		// Checkpoints tee into the rewind-point archive, must be full
 		// captures (an archived point restores standalone), and the debug
@@ -703,11 +716,6 @@ func (c *Cluster) engineConfig(slot *engineSlot) engine.Config {
 		cfg.Backup = c.arch.Tee(slot.name, cfg.Backup)
 		cfg.ForceFullCheckpoints = true
 		cfg.RewindInfo = c.rewindInfo
-	}
-	if slot.fstore != nil {
-		// A durable checkpoint must restore standalone in a fresh process:
-		// no delta chains, every capture full.
-		cfg.ForceFullCheckpoints = true
 	}
 	return cfg
 }
@@ -727,6 +735,29 @@ func (c *Cluster) backupFor(slot *engineSlot, metrics *trace.Metrics) engine.Bac
 		"fsync calls issued by the durable checkpoint store.")
 	slot.fstore.SetObserver(func(int64) { writes.Inc() }, fsyncs.Inc)
 	return teeBackup{slot.store, slot.fstore}
+}
+
+// clockFloor keeps an engine's source clock floor in memory, across the
+// in-process incarnations Recover builds; WithDurableStore persists it in
+// the checkpoint store's manifest instead.
+type clockFloor struct {
+	mu sync.Mutex
+	t  vt.Time
+}
+
+func (f *clockFloor) ClockFloor() vt.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.t
+}
+
+func (f *clockFloor) SetClockFloor(t vt.Time) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if t > f.t {
+		f.t = t
+	}
+	return nil
 }
 
 // teeBackup fans one checkpoint out to both stores: the warm replica first

@@ -1,8 +1,10 @@
 package tart_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -67,11 +69,28 @@ func coldRound(t *testing.T, cluster *tart.Cluster, round int, outCh chan crashR
 // identical to a clean run that never restarted. The durable generation
 // must ratchet across incarnations.
 func TestColdRestartReopen(t *testing.T) {
+	coldRestartOracle(t, coldApp, []int{3}, 1)
+}
+
+// TestColdRestartReopenDeltaChain runs the same oracle over components
+// that keep their state in StateMap fields and checkpoint after each of
+// the first four rounds, so the durable store holds a full checkpoint
+// plus four field deltas and Reopen restores the whole chain.
+func TestColdRestartReopenDeltaChain(t *testing.T) {
+	coldRestartOracle(t, coldMapApp, []int{1, 2, 3, 4}, 5)
+}
+
+// coldRestartOracle drives eight rounds through newApp's Figure-1
+// pipeline, checkpointing after each round in ckptRounds, once straight
+// through and once stopped after round six and Reopened over the same
+// state directory, and requires identical output tapes. chainLen is the
+// length of the durable chain the restart must restore.
+func coldRestartOracle(t *testing.T, newApp func() *tart.App, ckptRounds []int, chainLen int) {
 	const (
-		ckptAfterRound = 3 // durable checkpoint here; later rounds live only in the WAL
 		stopAfterRound = 6 // first process ends here
 		totalRounds    = 8 // second incarnation adds two more
 	)
+	lastCkpt := ckptRounds[len(ckptRounds)-1] // later rounds live only in the WAL
 
 	run := func(t *testing.T, restart bool) []crashRecord {
 		t.Helper()
@@ -99,7 +118,7 @@ func TestColdRestartReopen(t *testing.T) {
 			tart.WithManualClock(func() tart.VirtualTime { return 0 }),
 			tart.WithDurableStore(dir),
 		}
-		cluster, err := tart.Launch(coldApp(), opts...)
+		cluster, err := tart.Launch(newApp(), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,9 +128,11 @@ func TestColdRestartReopen(t *testing.T) {
 		for r := 0; r < stopAfterRound; r++ {
 			coldRound(t, cluster, r, outCh)
 			collect(2 * (r + 1))
-			if r+1 == ckptAfterRound {
-				if _, err := cluster.Checkpoint("node"); err != nil {
-					t.Fatal(err)
+			for _, c := range ckptRounds {
+				if r+1 == c {
+					if _, err := cluster.Checkpoint("node"); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
@@ -126,8 +147,26 @@ func TestColdRestartReopen(t *testing.T) {
 		}
 		cluster.Stop()
 
+		fs, err := checkpoint.OpenFileStore(dir + "/node/checkpoints")
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain, err := fs.Chain()
+		fs.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(chain) != chainLen {
+			t.Fatalf("durable chain holds %d checkpoints, want %d", len(chain), chainLen)
+		}
+		for i, ck := range chain {
+			if ck.Full() != (i == 0) {
+				t.Fatalf("durable chain entry %d (seq %d): full=%v", i, ck.Seq, ck.Full())
+			}
+		}
+
 		// "New process": fresh component objects, same state directory.
-		cluster2, err := tart.Reopen(coldApp(), opts...)
+		cluster2, err := tart.Reopen(newApp(), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +183,7 @@ func TestColdRestartReopen(t *testing.T) {
 		}
 
 		// The replayed-suffix counter saw the WAL records past the durable
-		// checkpoint's cursor: rounds 4..6, one record per source.
+		// checkpoint's cursor: one record per source per round.
 		fams, err := cluster2.MetricFamilies("node")
 		if err != nil {
 			t.Fatal(err)
@@ -158,14 +197,14 @@ func TestColdRestartReopen(t *testing.T) {
 				replayed += s.Value
 			}
 		}
-		if want := float64(2 * (stopAfterRound - ckptAfterRound)); replayed != want {
+		if want := float64(2 * (stopAfterRound - lastCkpt)); replayed != want {
 			t.Fatalf("tart_coldstart_replayed_records = %v, want %v", replayed, want)
 		}
 		cluster2.Stop()
 
 		// Generation ratchet: launch persisted 1, reopen persisted 2 — and
 		// did so durably, so a third incarnation would fence both.
-		fs, err := checkpoint.OpenFileStore(dir + "/node/checkpoints")
+		fs, err = checkpoint.OpenFileStore(dir + "/node/checkpoints")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,6 +229,55 @@ func TestColdRestartReopen(t *testing.T) {
 		}
 		t.Fatalf("tape length mismatch: clean %d vs restarted %d", len(want), len(got))
 	}
+}
+
+// coldMapApp is coldApp with every component's state in StateMap fields:
+// checkpoints after the launch checkpoint are field deltas.
+func coldMapApp() *tart.App {
+	app := tart.NewApp()
+	app.Register("sender1", &mapCounter{Counts: tart.NewStateMap[string, int]()},
+		tart.WithConstantCost(40*time.Microsecond))
+	app.Register("sender2", &mapCounter{Counts: tart.NewStateMap[string, int]()},
+		tart.WithConstantCost(70*time.Microsecond))
+	app.Register("merger", &mapMerger{Seen: tart.NewStateMap[string, int]()},
+		tart.WithConstantCost(100*time.Microsecond))
+	app.SourceInto("in1", "sender1", "in")
+	app.SourceInto("in2", "sender2", "in")
+	app.Connect("sender1", "out", "merger", "s1")
+	app.Connect("sender2", "out", "merger", "s2")
+	app.SinkFrom("out", "merger", "out")
+	app.PlaceAll("node")
+	return app
+}
+
+// mapCounter is crashCounter over a StateMap.
+type mapCounter struct {
+	Counts *tart.StateMap[string, int]
+}
+
+func (c *mapCounter) OnMessage(ctx *tart.Context, port string, payload any) (any, error) {
+	w := payload.(string)
+	n, _ := c.Counts.Get(w)
+	c.Counts.Put(w, n+1)
+	return nil, ctx.Send("out", fmt.Sprintf("%s#%d", w, n+1))
+}
+
+// mapMerger numbers its inputs and remembers, per input, when it came:
+// its output depends on the whole restored table.
+type mapMerger struct {
+	Seen *tart.StateMap[string, int]
+	N    int
+}
+
+func (m *mapMerger) OnMessage(ctx *tart.Context, port string, payload any) (any, error) {
+	m.N++
+	key := fmt.Sprint(payload)
+	first, ok := m.Seen.Get(key)
+	if !ok {
+		first = m.N
+		m.Seen.Put(key, first)
+	}
+	return nil, ctx.Send("out", fmt.Sprintf("%03d:%v@%d/%d", m.N, payload, first, m.Seen.Len()))
 }
 
 // TestWithEnginesRejectsUnhostedAttachments pins the engine-subset
@@ -232,5 +320,198 @@ func TestWithEnginesRejectsUnhostedAttachments(t *testing.T) {
 
 	if _, err := tart.Launch(app, tart.WithEngines("nope")); err == nil {
 		t.Fatal("WithEngines with unknown engine name was accepted")
+	}
+}
+
+// TestShedLimitIgnoresSinkOutputs: a long-lived cluster with a shed limit
+// and periodic checkpoints keeps accepting input. Checkpoints trim the
+// replay buffers of internal wires; outputs to sinks are never buffered,
+// so they cannot accumulate against the limit.
+func TestShedLimitIgnoresSinkOutputs(t *testing.T) {
+	const (
+		limit  = 16
+		rounds = 60 // 120 outputs, far past the limit
+	)
+	cluster, err := tart.Launch(coldApp(),
+		tart.WithManualClock(func() tart.VirtualTime { return 0 }),
+		tart.WithShedLimit(limit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	outCh := make(chan crashRecord, 2*rounds)
+	if err := cluster.Sink("out", func(o tart.Output) {
+		outCh <- crashRecord{Seq: o.Seq, VT: o.VT, Payload: o.Payload.(string)}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	for r := 0; r < rounds; r++ {
+		coldRound(t, cluster, r, outCh) // fails the test on ErrSourceShed
+		for deadline := time.After(10 * time.Second); got < 2*(r+1); {
+			select {
+			case <-outCh:
+				got++
+			case <-deadline:
+				t.Fatalf("round %d: timed out at %d outputs", r, got)
+			}
+		}
+		if r%4 == 3 {
+			if _, err := cluster.Checkpoint("node"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestColdRestartDefaultClock reopens a cluster that runs on the default
+// real-time source clock. Before the stop, in2 falls silent while in1
+// keeps emitting, so in2's clock-driven silence promises let the merger
+// deliver in1's inputs well past in2's last input. After the reopen, in2
+// speaks first: its input must be stamped after all silence the stopped
+// incarnation promised, so the replayed suffix is numbered exactly as
+// before (stutter byte-identical to the delivered outputs), no input is
+// lost, and the tape stays in virtual-time and per-source order.
+func TestColdRestartDefaultClock(t *testing.T) {
+	restartDefaultClock(t, true)
+}
+
+// TestRecoverDefaultClock is the same check across an in-process
+// failover (Fail, then Recover from the warm replica) without a durable
+// store: the clock floor then lives in memory, beside the replica.
+func TestRecoverDefaultClock(t *testing.T) {
+	restartDefaultClock(t, false)
+}
+
+// restartDefaultClock runs the default-clock restart check, restarting
+// with Reopen over a durable store, or with Fail and Recover.
+func restartDefaultClock(t *testing.T, durable bool) {
+	dir := t.TempDir()
+	var (
+		mu    sync.Mutex
+		first = map[uint64]crashRecord{}
+		tape  []crashRecord
+		bad   []string
+	)
+	sink := func(o tart.Output) {
+		r := crashRecord{Seq: o.Seq, VT: o.VT, Payload: o.Payload.(string)}
+		mu.Lock()
+		defer mu.Unlock()
+		if prev, ok := first[o.Seq]; ok {
+			if prev != r {
+				bad = append(bad, fmt.Sprintf("output %d delivered as %+v, repeated as %+v", o.Seq, prev, r))
+			}
+			return
+		}
+		if want := uint64(len(tape) + 1); o.Seq != want {
+			bad = append(bad, fmt.Sprintf("output %d arrived, want %d next", o.Seq, want))
+		}
+		first[o.Seq] = r
+		tape = append(tape, r)
+	}
+	waitFor := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(20 * time.Second)
+		for {
+			mu.Lock()
+			got := len(tape)
+			mu.Unlock()
+			if got >= n {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out at %d of %d outputs", got, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	emit := func(c *tart.Cluster, source, word string) {
+		t.Helper()
+		src, err := c.Source(source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := src.Emit(word); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var opts []tart.ClusterOption
+	if durable {
+		opts = append(opts, tart.WithDurableStore(dir))
+	}
+	c1, err := tart.Launch(coldApp(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Sink("out", sink); err != nil {
+		t.Fatal(err)
+	}
+	emit(c1, "in1", "a1")
+	emit(c1, "in2", "b1")
+	waitFor(2)
+	if _, err := c1.Checkpoint("node"); err != nil {
+		t.Fatal(err)
+	}
+	emit(c1, "in2", "b2")
+	waitFor(3)
+	time.Sleep(30 * time.Millisecond)
+	for _, w := range []string{"a2", "a3", "a4"} {
+		emit(c1, "in1", w)
+		time.Sleep(5 * time.Millisecond)
+	}
+	waitFor(6)
+	c2 := c1
+	if durable {
+		c1.Stop()
+		if c2, err = tart.Reopen(coldApp(), opts...); err != nil {
+			t.Fatal(err)
+		}
+		if err := c2.Sink("out", sink); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		if err := c1.Fail("node"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c1.Recover("node"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer c2.Stop()
+	emit(c2, "in2", "b3")
+	emit(c2, "in1", "a5")
+	waitFor(8)
+	time.Sleep(50 * time.Millisecond) // room for anything extra to show up
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, b := range bad {
+		t.Error(b)
+	}
+	if len(tape) != 8 {
+		t.Fatalf("tape holds %d outputs, want 8: %+v", len(tape), tape)
+	}
+	var order []string
+	for i, r := range tape {
+		if i > 0 && r.VT <= tape[i-1].VT {
+			t.Errorf("output %d at %v, not after output %d at %v", r.Seq, r.VT, tape[i-1].Seq, tape[i-1].VT)
+		}
+		word := strings.TrimSuffix(r.Payload[strings.Index(r.Payload, ":")+1:], "#1")
+		order = append(order, word)
+	}
+	var a, b []string
+	for _, w := range order {
+		if w[0] == 'a' {
+			a = append(a, w)
+		} else {
+			b = append(b, w)
+		}
+	}
+	if want := []string{"a1", "a2", "a3", "a4", "a5"}; !reflect.DeepEqual(a, want) {
+		t.Errorf("in1 inputs in output order %v, want %v", a, want)
+	}
+	if want := []string{"b1", "b2", "b3"}; !reflect.DeepEqual(b, want) {
+		t.Errorf("in2 inputs in output order %v, want %v", b, want)
 	}
 }

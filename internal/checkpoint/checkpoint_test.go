@@ -1,6 +1,8 @@
 package checkpoint
 
 import (
+	"encoding/gob"
+	"io"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -273,9 +275,20 @@ func TestMapGobInsideStruct(t *testing.T) {
 	if v, _ := dst.Words.Get("hello"); v != 3 || dst.Seen != 5 {
 		t.Errorf("restored = %+v (hello=%v)", dst, v)
 	}
-	// GobEncode must not clear the dirty set.
+	// GobEncode must not clear the dirty set; the full Capture around it
+	// then starts a new delta epoch, which does.
+	src.Words.Put("again", 1)
+	if err := gob.NewEncoder(io.Discard).Encode(src); err != nil {
+		t.Fatal(err)
+	}
 	if src.Words.DirtyCount() == 0 {
 		t.Error("GobEncode cleared the dirty set")
+	}
+	if _, err := Capture(src); err != nil {
+		t.Fatal(err)
+	}
+	if n := src.Words.DirtyCount(); n != 0 {
+		t.Errorf("full Capture left %d dirty keys, want a new delta epoch", n)
 	}
 }
 

@@ -47,6 +47,30 @@ type Checkpoint struct {
 	Buffers    map[msg.WireID][]msg.Envelope
 }
 
+// Full reports whether the checkpoint restores standalone: every component
+// carries a full handler capture. Anything else is a delta, which restores
+// only on top of the checkpoint directly before it.
+func (c *Checkpoint) Full() bool {
+	for _, cs := range c.Components {
+		if cs.Kind != HandlerFull {
+			return false
+		}
+	}
+	return true
+}
+
+// chainFollows checks that a delta with sequence number seq may extend a
+// chain whose newest checkpoint is last (0: none yet).
+func chainFollows(seq, last uint64) error {
+	if last == 0 {
+		return fmt.Errorf("checkpoint: delta %d with no full checkpoint to extend", seq)
+	}
+	if seq != last+1 {
+		return fmt.Errorf("checkpoint: delta %d does not follow checkpoint %d", seq, last)
+	}
+	return nil
+}
+
 // Encode serializes the checkpoint for transmission to a replica or
 // storage on a stable device.
 func (c *Checkpoint) Encode() ([]byte, error) {
@@ -96,12 +120,17 @@ func NewReplicaStore() *ReplicaStore {
 // Apply ingests one checkpoint. Checkpoints must arrive in order (the
 // transport between active engine and replica is FIFO); stale or repeated
 // sequence numbers are ignored, and a delta arriving before any full
-// capture is rejected.
+// capture, or after a gap in the sequence, is rejected.
 func (r *ReplicaStore) Apply(c *Checkpoint) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c.Seq <= r.seq && r.seq != 0 {
 		return nil // duplicate or stale; idempotent
+	}
+	if !c.Full() {
+		if err := chainFollows(c.Seq, r.seq); err != nil {
+			return err
+		}
 	}
 	for name, cs := range c.Components {
 		rc, ok := r.comps[name]

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Map is a checkpoint-aware hash map for large component state: it tracks
@@ -19,6 +19,10 @@ import (
 type Map[K ordered, V any] struct {
 	data  map[K]V
 	dirty map[K]bool // keys written or deleted since the last snapshot/delta
+	// epoch is set once a full capture or restore exists that the dirty
+	// set is relative to; a never-captured map cannot serve a field delta
+	// (see CaptureDelta).
+	epoch bool
 }
 
 // ordered covers the key types Map supports: anything with a total order
@@ -67,7 +71,7 @@ func (m *Map[K, V]) SortedKeys() []K {
 	for k := range m.data {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 
@@ -92,7 +96,7 @@ func (m *Map[K, V]) Snapshot() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.dirty = make(map[K]bool)
+	m.startEpoch()
 	return data, nil
 }
 
@@ -108,7 +112,7 @@ func (m *Map[K, V]) Restore(data []byte) error {
 			m.data[e.Key] = e.Value
 		}
 	}
-	m.dirty = make(map[K]bool)
+	m.startEpoch()
 	return nil
 }
 
@@ -116,11 +120,14 @@ func (m *Map[K, V]) Restore(data []byte) error {
 // clears the dirty set. ok is false when nothing has been captured yet
 // (callers should take a full Snapshot first); an empty delta is valid.
 func (m *Map[K, V]) Delta() ([]byte, bool, error) {
+	if !m.epoch {
+		return nil, false, nil
+	}
 	keys := make([]K, 0, len(m.dirty))
 	for k := range m.dirty {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	entries := make([]entry[K, V], 0, len(keys))
 	for _, k := range keys {
 		v, ok := m.data[k]
@@ -132,6 +139,15 @@ func (m *Map[K, V]) Delta() ([]byte, bool, error) {
 	}
 	m.dirty = make(map[K]bool)
 	return data, true, nil
+}
+
+// startEpoch makes the current contents the base of the next delta: a
+// full capture holding them has been taken (or they were just restored).
+func (m *Map[K, V]) startEpoch() {
+	if len(m.dirty) > 0 || m.dirty == nil {
+		m.dirty = make(map[K]bool)
+	}
+	m.epoch = true
 }
 
 // ApplyDelta implements DeltaSnapshotter.
@@ -171,6 +187,7 @@ var (
 	_ DeltaSnapshotter = (*Map[string, int])(nil)
 	_ gob.GobEncoder   = (*Map[string, int])(nil)
 	_ gob.GobDecoder   = (*Map[string, int])(nil)
+	_ epochTracker     = (*Map[string, int])(nil)
 )
 
 func encodeEntries[K ordered, V any](entries []entry[K, V]) ([]byte, error) {

@@ -7,21 +7,23 @@ import (
 
 // Store is a durable checkpoint backend: it accepts checkpoints the way a
 // passive replica does (Apply is engine.Backup-compatible) and can hand
-// the newest one back after an arbitrary amount of time — including in a
-// different OS process. Unlike ReplicaStore, which accumulates delta
-// chains in memory, a Store persists standalone checkpoints: every
-// applied checkpoint must carry full handler state (engines writing to a
-// Store run with ForceFullCheckpoints), so Latest restores without any
-// history.
+// them back after an arbitrary amount of time — including in a different
+// OS process. Like ReplicaStore it takes delta checkpoints: a store keeps
+// bounded delta chains, each starting at a full checkpoint (Checkpoint.Full),
+// and Chain returns the newest one, which a ReplicaStore restores by
+// applying it in order. A delta must directly follow the store's newest
+// checkpoint; one that would leave a hole in the chain is rejected, and
+// the engine answers with a full capture.
 //
 // Implementations must be safe for concurrent use.
 type Store interface {
 	// Apply persists one checkpoint. Stale or duplicate sequence numbers
 	// are ignored (idempotent), matching ReplicaStore semantics.
 	Apply(c *Checkpoint) error
-	// Latest returns the newest persisted checkpoint, or nil when the
+	// Chain returns the newest restore point: the newest full checkpoint
+	// followed by every delta after it, oldest first, or nil when the
 	// store is empty.
-	Latest() (*Checkpoint, error)
+	Chain() ([]*Checkpoint, error)
 	// Seq returns the sequence number of the newest persisted checkpoint
 	// (0 when empty).
 	Seq() uint64
@@ -32,15 +34,14 @@ type Store interface {
 // ErrStoreClosed reports operations against a closed Store.
 var ErrStoreClosed = errors.New("checkpoint: store closed")
 
-// MemStore is an in-memory Store: the newest checkpoint, kept as its
-// encoded bytes so Latest hands back an isolated copy exactly like a
-// durable backend would. It is the conformance reference for FileStore
-// and the backend of choice for tests that need Store semantics without
-// a disk.
+// MemStore is an in-memory Store: the newest chain, kept as encoded bytes
+// so Chain hands back isolated copies exactly like a durable backend
+// would. It is the conformance reference for FileStore and the
+// backend of choice for tests that need Store semantics without a disk.
 type MemStore struct {
 	mu     sync.Mutex
 	seq    uint64
-	data   []byte
+	chain  [][]byte // the newest full checkpoint, then its deltas
 	closed bool
 }
 
@@ -63,20 +64,31 @@ func (m *MemStore) Apply(c *Checkpoint) error {
 	if c.Seq <= m.seq && m.seq != 0 {
 		return nil // duplicate or stale; idempotent
 	}
+	if c.Full() {
+		m.chain = [][]byte{data}
+	} else {
+		if err := chainFollows(c.Seq, m.seq); err != nil {
+			return err
+		}
+		m.chain = append(m.chain, data)
+	}
 	m.seq = c.Seq
-	m.data = data
 	return nil
 }
 
-// Latest implements Store.
-func (m *MemStore) Latest() (*Checkpoint, error) {
+// Chain implements Store.
+func (m *MemStore) Chain() ([]*Checkpoint, error) {
 	m.mu.Lock()
-	data := m.data
-	m.mu.Unlock()
-	if data == nil {
-		return nil, nil
+	defer m.mu.Unlock()
+	var out []*Checkpoint
+	for _, data := range m.chain {
+		c, err := Decode(data)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, c)
 	}
-	return Decode(data)
+	return out, nil
 }
 
 // Seq implements Store.

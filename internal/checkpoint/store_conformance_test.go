@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/msg"
@@ -34,6 +35,50 @@ func fullCheckpoint(seq uint64) *Checkpoint {
 	}
 }
 
+// deltaCheckpoint builds a delta checkpoint: it restores only on top of
+// checkpoint seq-1.
+func deltaCheckpoint(seq uint64) *Checkpoint {
+	c := fullCheckpoint(seq)
+	cs := c.Components["counter"]
+	cs.Kind = HandlerDelta
+	cs.Handler = []byte(fmt.Sprintf("delta-%d", seq))
+	c.Components["counter"] = cs
+	return c
+}
+
+// chainSeqs lists the sequence numbers of a chain.
+func chainSeqs(chain []*Checkpoint) []uint64 {
+	out := make([]uint64, 0, len(chain))
+	for _, c := range chain {
+		out = append(out, c.Seq)
+	}
+	return out
+}
+
+// checkChain fails unless chain is a well-formed restore point ending at
+// tip: a full checkpoint, then deltas with consecutive sequence numbers.
+// tip 0 means the empty chain.
+func checkChain(t *testing.T, chain []*Checkpoint, tip uint64) {
+	t.Helper()
+	if tip == 0 {
+		if len(chain) != 0 {
+			t.Fatalf("chain %v, want empty", chainSeqs(chain))
+		}
+		return
+	}
+	if len(chain) == 0 || chain[len(chain)-1].Seq != tip {
+		t.Fatalf("chain %v, want one ending at %d", chainSeqs(chain), tip)
+	}
+	if !chain[0].Full() {
+		t.Fatalf("chain %v starts with a delta", chainSeqs(chain))
+	}
+	for i := 1; i < len(chain); i++ {
+		if chain[i].Full() || chain[i].Seq != chain[i-1].Seq+1 {
+			t.Fatalf("chain %v: entry %d is not the delta after %d", chainSeqs(chain), chain[i].Seq, chain[i-1].Seq)
+		}
+	}
+}
+
 // storeConformance is the shared Store contract suite, run against every
 // backend.
 func storeConformance(t *testing.T, open func(t *testing.T) Store) {
@@ -43,7 +88,7 @@ func storeConformance(t *testing.T, open func(t *testing.T) Store) {
 		if got := s.Seq(); got != 0 {
 			t.Fatalf("empty store Seq = %d, want 0", got)
 		}
-		ck, err := s.Latest()
+		ck, err := latest(s)
 		if err != nil || ck != nil {
 			t.Fatalf("empty store Latest = %v, %v; want nil, nil", ck, err)
 		}
@@ -59,7 +104,7 @@ func storeConformance(t *testing.T, open func(t *testing.T) Store) {
 		if got := s.Seq(); got != 4 {
 			t.Fatalf("Seq = %d, want 4", got)
 		}
-		ck, err := s.Latest()
+		ck, err := latest(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +130,7 @@ func storeConformance(t *testing.T, open func(t *testing.T) Store) {
 		if err := s.Apply(fullCheckpoint(3)); err != nil {
 			t.Fatalf("stale apply: %v", err)
 		}
-		ck, err := s.Latest()
+		ck, err := latest(s)
 		if err != nil || ck.Seq != 5 {
 			t.Fatalf("Latest after stale applies = %+v, %v; want seq 5", ck, err)
 		}
@@ -99,15 +144,124 @@ func storeConformance(t *testing.T, open func(t *testing.T) Store) {
 			t.Fatal("Apply after Close succeeded, want error")
 		}
 	})
+	t.Run("ChainIsNewestFullPlusDeltas", func(t *testing.T) {
+		s := open(t)
+		defer s.Close()
+		steps := []struct {
+			ck   *Checkpoint
+			want []uint64
+		}{
+			{fullCheckpoint(1), []uint64{1}},
+			{deltaCheckpoint(2), []uint64{1, 2}},
+			{deltaCheckpoint(3), []uint64{1, 2, 3}},
+			{fullCheckpoint(4), []uint64{4}},
+			{deltaCheckpoint(5), []uint64{4, 5}},
+		}
+		for _, st := range steps {
+			if err := s.Apply(st.ck); err != nil {
+				t.Fatalf("apply %d: %v", st.ck.Seq, err)
+			}
+			chain, err := s.Chain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := chainSeqs(chain); !reflect.DeepEqual(got, st.want) {
+				t.Fatalf("after %d: chain %v, want %v", st.ck.Seq, got, st.want)
+			}
+			checkChain(t, chain, st.ck.Seq)
+		}
+		if got := string(mustLatest(t, s).Components["counter"].Handler); got != "delta-5" {
+			t.Fatalf("Latest handler = %q, want delta-5", got)
+		}
+		// A stale delta is ignored like any stale checkpoint.
+		if err := s.Apply(deltaCheckpoint(3)); err != nil {
+			t.Fatalf("stale delta: %v", err)
+		}
+		if s.Seq() != 5 {
+			t.Fatalf("Seq after stale delta = %d, want 5", s.Seq())
+		}
+	})
+	t.Run("DeltaWithoutBaseRejected", func(t *testing.T) {
+		s := open(t)
+		defer s.Close()
+		if err := s.Apply(deltaCheckpoint(1)); err == nil {
+			t.Fatal("delta into an empty store accepted")
+		}
+		if s.Seq() != 0 {
+			t.Fatalf("Seq = %d after a rejected delta, want 0", s.Seq())
+		}
+	})
+	t.Run("DeltaAfterHoleRejected", func(t *testing.T) {
+		s := open(t)
+		defer s.Close()
+		if err := s.Apply(fullCheckpoint(1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Apply(deltaCheckpoint(3)); err == nil {
+			t.Fatal("delta 3 after checkpoint 1 accepted")
+		}
+		chain, err := s.Chain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkChain(t, chain, 1)
+		// The engine answers a rejected delta with a full capture.
+		if err := s.Apply(fullCheckpoint(4)); err != nil {
+			t.Fatal(err)
+		}
+		chain, err = s.Chain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkChain(t, chain, 4)
+	})
+	t.Run("ChainRestoresLiveState", func(t *testing.T) {
+		s := open(t)
+		defer s.Close()
+		live := &ledgerComp{Table: NewMap[string, int]()}
+		warm := NewReplicaStore()
+		for seq := uint64(1); seq <= 7; seq++ {
+			live.Table.Put(fmt.Sprintf("k%d", seq%4), int(seq))
+			live.Total += int(seq)
+			ck := ledgerCheckpoint(t, seq, live, seq == 1 || seq == 5)
+			if err := warm.Apply(ck); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Apply(ck); err != nil {
+				t.Fatal(err)
+			}
+		}
+		chain, err := s.Chain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkChain(t, chain, 7)
+		cold := NewReplicaStore()
+		for _, ck := range chain {
+			if err := cold.Apply(ck); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fromWarm, fromCold := &ledgerComp{}, &ledgerComp{}
+		if _, _, err := warm.RestoreInto("ledger", fromWarm); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := cold.RestoreInto("ledger", fromCold); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fromCold, live) || !reflect.DeepEqual(fromWarm, live) {
+			t.Fatalf("restored cold %+v / warm %+v, live %+v", fromCold.Table.data, fromWarm.Table.data, live.Table.data)
+		}
+	})
 	t.Run("LatestIsIsolatedCopy", func(t *testing.T) {
 		s := open(t)
 		defer s.Close()
 		if err := s.Apply(fullCheckpoint(1)); err != nil {
 			t.Fatal(err)
 		}
-		a, _ := s.Latest()
+		a, _ := latest(s)
 		a.Components["counter"] = ComponentState{Handler: []byte("mutated")}
-		b, err := s.Latest()
+		b, err := latest(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,6 +269,46 @@ func storeConformance(t *testing.T, open func(t *testing.T) Store) {
 			t.Fatalf("mutating a Latest result leaked into the store: %q", got)
 		}
 	})
+}
+
+// latest returns the newest checkpoint of a store's chain (nil when
+// empty).
+func latest(s Store) (*Checkpoint, error) {
+	chain, err := s.Chain()
+	if err != nil || len(chain) == 0 {
+		return nil, err
+	}
+	return chain[len(chain)-1], nil
+}
+
+func mustLatest(t *testing.T, s Store) *Checkpoint {
+	t.Helper()
+	ck, err := latest(s)
+	if err != nil || ck == nil {
+		t.Fatalf("Latest = %v, %v", ck, err)
+	}
+	return ck
+}
+
+// ledgerCheckpoint captures live the way an engine does: full when full
+// is set, otherwise a field delta.
+func ledgerCheckpoint(t testing.TB, seq uint64, live *ledgerComp, full bool) *Checkpoint {
+	t.Helper()
+	cs := ComponentState{Kind: HandlerFull, Sched: sched.State{Clock: vt.Time(seq)}}
+	var err error
+	if full {
+		cs.Handler, err = Capture(live)
+	} else {
+		var isFull bool
+		if cs.Handler, isFull, err = CaptureDelta(live); !isFull {
+			cs.Kind = HandlerDelta
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Checkpoint{Engine: "e1", Seq: seq, VT: vt.Time(seq),
+		Components: map[string]ComponentState{"ledger": cs}}
 }
 
 func TestMemStoreConformance(t *testing.T) {
@@ -161,7 +355,7 @@ func TestFileStoreSurvivesReopen(t *testing.T) {
 	if got := r.Generation(); got != 3 {
 		t.Fatalf("reopened Generation = %d, want 3", got)
 	}
-	ck, err := r.Latest()
+	ck, err := latest(r)
 	if err != nil || ck == nil || ck.Seq != 5 {
 		t.Fatalf("reopened Latest = %+v, %v; want seq 5", ck, err)
 	}
@@ -237,7 +431,7 @@ func TestFileStoreTornWriteFallsBack(t *testing.T) {
 	if got := r.Seq(); got != 2 {
 		t.Fatalf("fell back to Seq %d, want 2", got)
 	}
-	ck, err := r.Latest()
+	ck, err := latest(r)
 	if err != nil || ck == nil || ck.Seq != 2 {
 		t.Fatalf("Latest after fallback = %+v, %v; want seq 2", ck, err)
 	}

@@ -15,8 +15,8 @@ import (
 )
 
 // fullCheckpointEvery bounds delta chains: every Nth checkpoint captures
-// full handler state even for incremental components, so a replica's
-// restore cost stays bounded.
+// full handler state for every component at once, so a replica's or a
+// durable store's chain — and its restore cost — stays bounded.
 const fullCheckpointEvery = 10
 
 // Checkpoint takes one soft checkpoint: a quiescent capture of every
@@ -36,6 +36,7 @@ func (e *Engine) Checkpoint() (uint64, error) {
 	var captureErr error
 	var bytesTotal int
 	maxClock := vt.Zero
+	fullRound := e.cfg.ForceFullCheckpoints || !e.fullShipped || e.deltasSince >= fullCheckpointEvery
 	for _, h := range e.sortedHosted() {
 		var cs checkpoint.ComponentState
 		h.sch.WithQuiescent(func(st sched.State) {
@@ -43,8 +44,7 @@ func (e *Engine) Checkpoint() (uint64, error) {
 			if st.Clock > maxClock {
 				maxClock = st.Clock
 			}
-			wantFull := e.cfg.ForceFullCheckpoints || !h.shippedFull || h.deltasSince >= fullCheckpointEvery
-			if wantFull {
+			if fullRound {
 				data, err := checkpoint.Capture(h.spec.State)
 				if err != nil {
 					captureErr = err
@@ -87,20 +87,20 @@ func (e *Engine) Checkpoint() (uint64, error) {
 		Components: comps,
 		Buffers:    e.buffers.snapshot(),
 	}
+	// The sequence number is spent even if Apply fails: a teed backup may
+	// have taken it, and the full checkpoint that follows a failure must
+	// not look like a stale duplicate to that backup.
+	e.ckptSeq = ck.Seq
 	if err := e.cfg.Backup.Apply(ck); err != nil {
 		e.forceFullNext()
 		return 0, fmt.Errorf("engine: apply checkpoint: %w", err)
 	}
-	e.ckptSeq = ck.Seq
 	e.lastCkptVT = maxClock
-	for _, h := range e.comps {
-		cs := comps[h.name]
-		if cs.Kind == checkpoint.HandlerFull {
-			h.shippedFull = true
-			h.deltasSince = 0
-		} else {
-			h.deltasSince++
-		}
+	if fullRound {
+		e.fullShipped = true
+		e.deltasSince = 0
+	} else {
+		e.deltasSince++
 	}
 	e.metrics.AddCheckpoint(bytesTotal)
 	elapsed := time.Since(start)
@@ -153,12 +153,10 @@ func (e *Engine) refreshCheckpointGauges() {
 		"Virtual-time distance from the live clock frontier to the newest checkpoint — the bound on any rewind's replay distance.").Set(age)
 }
 
-// forceFullNext marks every component so the next checkpoint ships full
-// handler state (after a failed capture or apply, deltas may be lost).
+// forceFullNext makes the next checkpoint ship full handler state for
+// every component (after a failed capture or apply, deltas may be lost).
 func (e *Engine) forceFullNext() {
-	for _, h := range e.comps {
-		h.shippedFull = false
-	}
+	e.fullShipped = false
 }
 
 // afterCheckpoint performs the stability housekeeping a durable checkpoint
@@ -299,7 +297,6 @@ func NewFromBackup(cfg Config, store *checkpoint.ReplicaStore) (*Engine, error) 
 			}
 			h.sch.ApplySilenceEpoch(f.Silence.Config, f.Silence.EffectiveVT)
 		}
-		h.shippedFull = false // first post-recovery checkpoint ships full state
 		if schedState.Clock > e.lastCkptVT {
 			e.lastCkptVT = schedState.Clock // restored from a checkpoint at this VT
 		}

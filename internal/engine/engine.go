@@ -15,6 +15,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -127,8 +128,18 @@ type Config struct {
 	// dumped to (JSONL) after a post-failover replay and on shutdown.
 	FlightDump string
 	// Clock supplies virtual time for real-time sources. Defaults to
-	// nanoseconds since engine start.
+	// nanoseconds since engine start (plus ClockFloor's floor, when set).
 	Clock func() vt.Time
+	// ClockFloor carries the default source clock across incarnations;
+	// ignored when Clock is set. The clock starts at the stored floor
+	// instead of 0, and no clock-driven source silence promise passes the
+	// floor the store holds. A background ticker keeps the floor up to a
+	// lease ahead of the clock (see clockFloorLease), so a restarted
+	// engine stamps every new input above all silence its predecessor
+	// promised. Optional; the cluster backs it with the durable checkpoint
+	// store, or with memory that outlives the engine's in-process
+	// incarnations.
+	ClockFloor ClockFloorStore
 	// Generation is this engine incarnation's fencing token, carried in
 	// peer handshakes. A cluster increments it on every Recover so peers
 	// reject handshakes from zombie engines of earlier generations (a
@@ -193,6 +204,21 @@ type Config struct {
 	ShedBufferedLimit int
 }
 
+// ClockFloorStore records the floor of an engine's source clock where the
+// engine's next incarnation can read it.
+type ClockFloorStore interface {
+	ClockFloor() vt.Time
+	SetClockFloor(vt.Time) error
+}
+
+// clockFloorLease is how far ahead of the source clock the engine raises
+// the clock floor, every half lease from a ticker — never from the routing
+// path, since a durable store fsyncs each raise. It trades two store
+// writes per second against a restarted clock that resumes up to a lease
+// ahead of its surviving peers. Neither cost is measured yet: the only
+// benchmark workload with a durable store runs a manual clock.
+const clockFloorLease = time.Second
+
 // Engine hosts the components placed on one engine name.
 type Engine struct {
 	cfg  Config
@@ -218,6 +244,18 @@ type Engine struct {
 	clock      func() vt.Time
 	restored   bool
 
+	// fullShipped is set once the backup holds a full round this
+	// engine's deltas build on, and deltasSince counts checkpoints since
+	// that round (both guarded by ckptMu).
+	fullShipped bool
+	deltasSince int
+
+	// floor is the durable clock floor (nil without one), floorAt the
+	// vt.Time it is known to hold; only Start and the renewal ticker
+	// raise it.
+	floor   ClockFloorStore
+	floorAt atomic.Int64
+
 	mu      sync.Mutex
 	started bool
 	stopped bool
@@ -233,8 +271,6 @@ type hosted struct {
 	cal  *estimator.Calibrated // non-nil when Est is calibrated
 
 	// Checkpoint bookkeeping (guarded by Engine.ckptMu).
-	shippedFull   bool
-	deltasSince   int
 	restoredState sched.State
 }
 
@@ -319,9 +355,15 @@ func New(cfg Config) (*Engine, error) {
 		"fsync calls issued by the durable checkpoint store.")
 	reg.Counter(trace.MetricSourceShed,
 		"External inputs refused at sources because buffered replay state hit its bound.")
-	if cfg.Clock != nil {
+	switch {
+	case cfg.Clock != nil:
 		e.clock = cfg.Clock
-	} else {
+	case cfg.ClockFloor != nil:
+		base := cfg.ClockFloor.ClockFloor()
+		e.floor = cfg.ClockFloor
+		e.floorAt.Store(int64(base))
+		e.clock = func() vt.Time { return base.Add(vt.Ticks(time.Since(e.epoch).Nanoseconds())) }
+	default:
 		e.clock = func() vt.Time { return vt.Time(time.Since(e.epoch).Nanoseconds()) }
 	}
 
@@ -561,6 +603,7 @@ func (e *Engine) Start() error {
 	e.started = true
 	e.epoch = time.Now()
 	e.mu.Unlock()
+	e.renewClockFloor()
 
 	for _, h := range e.comps {
 		if err := h.sch.Run(); err != nil {
@@ -592,6 +635,9 @@ func (e *Engine) startLoops() {
 	}
 	if e.cfg.SourceSilenceEvery > 0 {
 		e.spawnTicker(e.cfg.SourceSilenceEvery, e.advanceSourceSilence)
+	}
+	if e.floor != nil {
+		e.spawnTicker(clockFloorLease/2, e.renewClockFloor)
 	}
 	e.spawnTicker(e.cfg.GapRepairEvery, e.repairGaps)
 	e.spawnTicker(e.cfg.HeartbeatEvery, e.peers.heartbeat)

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -354,5 +356,118 @@ func TestAcksTrimReplayBuffers(t *testing.T) {
 			t.Fatalf("buffer not trimmed: %d entries", c.engA.BufferedCount(wireS1))
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestSinkWiresAreNotBuffered: envelopes on a wire whose receiver is
+// external are never replayed or acknowledged, so they must not sit in the
+// replay buffers — or in checkpoints, or against the shed limit.
+func TestSinkWiresAreNotBuffered(t *testing.T) {
+	tp := fig1Topo(t, false)
+	store := checkpoint.NewReplicaStore()
+	sink := newSinkCollector()
+	e, err := New(Config{Name: "A", Topo: tp, Components: fig1Specs(), Backup: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Sink("out", sink.fn); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	merger, _ := tp.ComponentByName("merger")
+	sinkWire := merger.Outputs["out"]
+
+	in1, _ := e.Source("in1")
+	in2, _ := e.Source("in2")
+	for i := 1; i <= 4; i++ {
+		if err := in1.EmitAt(vt.Time(i*1_000_000), []string{"a"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := in2.EmitAt(vt.Time(i*1_000_000+500_000), []string{"b"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in1.Quiesce(5_000_000)
+	in2.Quiesce(5_000_000)
+	sink.await(t, 8, 10*time.Second)
+	if got := e.BufferedCount(sinkWire); got != 0 {
+		t.Fatalf("sink wire buffered %d envelopes after 8 outputs, want 0", got)
+	}
+	if _, err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.BufferedCount(sinkWire); got != 0 {
+		t.Fatalf("sink wire buffered %d envelopes after a checkpoint, want 0", got)
+	}
+	if got := len(store.Buffers()[sinkWire]); got != 0 {
+		t.Fatalf("checkpoint carries %d sink-wire envelopes, want 0", got)
+	}
+}
+
+// floorStore is a ClockFloorStore that counts writes and can refuse them.
+type floorStore struct {
+	mu     sync.Mutex
+	t      vt.Time
+	writes int
+	fail   bool
+}
+
+func (f *floorStore) ClockFloor() vt.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.t
+}
+
+func (f *floorStore) SetClockFloor(t vt.Time) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.writes++
+	if f.fail {
+		return errors.New("floor store down")
+	}
+	f.t = max(f.t, t)
+	return nil
+}
+
+// TestSourcePromisesStayBelowClockFloor: clock-driven source silence never
+// passes the floor the store holds, and the floor is raised by the engine
+// itself (once at Start, then every half lease), not per promise. With a
+// store that refuses writes, promises stall at the stored floor.
+func TestSourcePromisesStayBelowClockFloor(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		store := &floorStore{t: 5_000_000, fail: fail}
+		e, err := New(Config{Name: "A", Topo: fig1Topo(t, false), Components: fig1Specs(),
+			ClockFloor: store, SourceSilenceEvery: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(50 * time.Millisecond)
+		e.Stop()
+		store.mu.Lock()
+		floor, writes := store.t, store.writes
+		store.mu.Unlock()
+		if writes != 1 {
+			t.Errorf("fail=%v: %d floor writes in 50ms, want 1 (at Start)", fail, writes)
+		}
+		for _, s := range e.sortedSources() {
+			s.mu.Lock()
+			promised := s.promised
+			s.mu.Unlock()
+			if promised > floor {
+				t.Errorf("fail=%v: source %s promised %v past the floor %v", fail, s.name, promised, floor)
+			}
+			if fail && promised != 5_000_000 {
+				t.Errorf("fail=%v: source %s promised %v, want the stored floor 5000000", fail, s.name, promised)
+			}
+			if !fail && promised <= 5_000_000 {
+				t.Errorf("fail=%v: source %s promised %v, want past the old floor 5000000", fail, s.name, promised)
+			}
+		}
 	}
 }

@@ -24,7 +24,12 @@ func (e *Engine) Route(env msg.Envelope) {
 	w := e.tp.Wire(env.Wire)
 	switch env.Kind {
 	case msg.KindData, msg.KindCallRequest:
-		e.buffers.append(env)
+		// Sink envelopes are never replayed (a restored engine re-executes
+		// its outputs) nor acknowledged, so buffering them would only grow
+		// every checkpoint and count against ShedBufferedLimit.
+		if w.To != topo.External {
+			e.buffers.append(env)
+		}
 		e.forward(w, env)
 	case msg.KindCallReply:
 		e.buffers.appendReply(env)

@@ -186,10 +186,11 @@ func (e *Engine) answerSourceProbe(w *topo.Wire) {
 		if s.wire.ID != w.ID {
 			continue
 		}
+		now := e.promiseBound(e.clock().Add(-1))
 		s.mu.Lock()
 		promise := s.lastVT
-		if t := e.clock().Add(-1); t > promise {
-			promise = t
+		if now > promise {
+			promise = now
 		}
 		if promise <= s.promised {
 			s.mu.Unlock()
@@ -208,7 +209,7 @@ func (e *Engine) answerSourceProbe(w *topo.Wire) {
 // advanceSourceSilence pushes fresh silence promises for all hosted
 // real-time sources (the engine's periodic source watermark).
 func (e *Engine) advanceSourceSilence() {
-	now := e.clock().Add(-1)
+	now := e.promiseBound(e.clock().Add(-1))
 	for _, s := range e.sortedSources() {
 		s.mu.Lock()
 		promise := now
@@ -225,6 +226,31 @@ func (e *Engine) advanceSourceSilence() {
 		e.metrics.AddSilence()
 		s.target.sch.Deliver(msg.NewSilenceAfter(s.wire.ID, promise, seq))
 	}
+}
+
+// promiseBound caps the clock reading t at the clock floor: sources
+// promise silence no further than the next incarnation's clock resumes
+// from. A source's own last logged input may still exceed it — the WAL
+// restores that promise. Reads only; renewClockFloor raises the floor.
+func (e *Engine) promiseBound(t vt.Time) vt.Time {
+	if e.floor == nil {
+		return t
+	}
+	return min(t, vt.Time(e.floorAt.Load()))
+}
+
+// renewClockFloor raises the clock floor a lease ahead of the source
+// clock. On a store error the floor stays put and promises stall at it
+// until a later renewal succeeds.
+func (e *Engine) renewClockFloor() {
+	if e.floor == nil {
+		return
+	}
+	next := e.clock().Add(vt.Ticks(clockFloorLease))
+	if err := e.floor.SetClockFloor(next); err != nil {
+		return
+	}
+	e.floorAt.Store(int64(next))
 }
 
 func (e *Engine) sortedSources() []*Source {

@@ -4,8 +4,12 @@ import "repro/internal/checkpoint"
 
 // StateMap is a checkpoint-aware map for large component state: it tracks
 // dirty keys so engine checkpoints ship small deltas between full
-// snapshots (the paper's incremental checkpointing, §II.F.2), and offers
-// deterministic iteration via SortedKeys — which handlers must use instead
+// snapshots (the paper's incremental checkpointing, §II.F.2). Holding one
+// in an exported field of a component struct is enough; the rest of the
+// struct is still captured transparently. Keep the field's pointer: a
+// freshly assigned map makes the next checkpoint a full one. A component
+// that implements Snapshotter owns its whole capture, StateMap fields
+// included. StateMap also offers deterministic iteration via SortedKeys — which handlers must use instead
 // of ranging over a built-in map whenever iteration order can influence
 // outputs.
 type StateMap[K StateKey, V any] = checkpoint.Map[K, V]
